@@ -18,6 +18,7 @@ from repro.bench import figures
 from repro.bench.calibration import regression_bench_workload, regression_cost
 from repro.apps.resilient import LinRegResilient
 from repro.resilience.executor import IterativeExecutor
+from repro.resilience.snapshot import make_redundancy
 from repro.runtime import DataLossError, Runtime
 
 PLACES = 24
@@ -28,7 +29,7 @@ def checkpoint_time_for(k: int) -> float:
     rt = Runtime(PLACES, cost=regression_cost(), resilient=True)
     app = LinRegResilient(rt, regression_bench_workload(10))
     for obj in (app.X, app.y, app.w, app.r, app.p):
-        obj.snapshot_backups = k
+        obj.snapshot_redundancy = make_redundancy(k)
     report = IterativeExecutor(rt, app, checkpoint_interval=5).run()
     return report.checkpoint_durations[0]  # the full (first) checkpoint
 
@@ -37,7 +38,7 @@ def survives_burst(k: int, burst: int) -> bool:
     rt = Runtime(PLACES, cost=regression_cost(), resilient=True)
     app = LinRegResilient(rt, regression_bench_workload(6))
     for obj in (app.X, app.y, app.w, app.r, app.p):
-        obj.snapshot_backups = k
+        obj.snapshot_redundancy = make_redundancy(k)
     store_holder = IterativeExecutor(rt, app, checkpoint_interval=3)
     for victim in range(3, 3 + burst):
         rt.injector.kill_at_iteration(victim, iteration=4)

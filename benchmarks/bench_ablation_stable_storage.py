@@ -19,7 +19,7 @@ from _common import emit
 from repro.apps.resilient import PageRankResilient
 from repro.bench.calibration import pagerank_bench_workload, pagerank_cost
 from repro.resilience.executor import IterativeExecutor
-from repro.resilience.stable import use_stable_storage
+from repro.resilience.snapshot import use_stable_storage
 from repro.runtime import DataLossError, Runtime
 
 PLACES = 24

@@ -53,7 +53,8 @@ from repro.resilience.executor import (
     NonResilientExecutor,
     RestoreMode,
 )
-from repro.resilience.placement import ParityPlacement, make_placement
+from repro.resilience.placement import make_placement
+from repro.resilience.snapshot import make_redundancy
 from repro.resilience.store import AppResilientStore
 from repro.runtime.cost import CostModel
 from repro.runtime.detector import PhiAccrualDetector
@@ -173,14 +174,10 @@ class CampaignConfig:
 
     def __post_init__(self) -> None:
         # Fail fast (in the parent process, not inside pool workers) on a
-        # bad placement spec or on parity double-paying for protection.
-        policy = make_placement(self.placement)
-        if isinstance(policy, ParityPlacement) and self.replicas > 1:
-            raise ValueError(
-                "placement=parity replaces per-key replicas with one XOR "
-                f"parity block per group; replicas must be <= 1, got "
-                f"{self.replicas}"
-            )
+        # bad placement spec or a conflicting redundancy configuration.
+        make_redundancy(
+            self.replicas, self.placement, self.stable_fallback, recovery=self.recovery
+        )
 
     @property
     def transient(self) -> bool:
@@ -576,26 +573,6 @@ class PrefixCache:
         return self.world(checkpoint_mode).fork(kills, mode)
 
 
-def _parity_recovery_sets(config: CampaignConfig) -> Optional[List[set]]:
-    """Per-parity-group recovery sets over the initial world, or None when
-    the campaign does not run a parity placement.
-
-    A group's recovery set is its member places plus the place holding its
-    XOR parity block: losing any *one* of them is recoverable from memory,
-    losing two before a repair pass is the documented loss mode.
-    """
-    policy = make_placement(config.placement)
-    if not isinstance(policy, ParityPlacement):
-        return None
-    size = config.places
-    span = policy.group_span(size)
-    sets = []
-    for start in range(0, size, span):
-        members = list(range(start, min(start + span, size)))
-        sets.append(set(members) | {policy.parity_index(start, len(members), size)})
-    return sets
-
-
 def _parity_covered(
     config: CampaignConfig, kills: List[ScriptedKill], mode: RestoreMode
 ) -> bool:
@@ -608,7 +585,7 @@ def _parity_covered(
     bursts), and no single burst taking two places of any parity group's
     recovery set.
     """
-    sets = _parity_recovery_sets(config)
+    sets = make_redundancy(placement=config.placement).recovery_sets(config.places)
     if sets is None or config.transient:
         return False
     if mode is not RestoreMode.REPLACE_REDUNDANT:

@@ -43,6 +43,7 @@ from repro.resilience.executor import (
     RestoreMode,
 )
 from repro.resilience.placement import PLACEMENTS, make_placement
+from repro.resilience.snapshot import make_redundancy
 from repro.runtime.detector import PhiAccrualDetector
 from repro.runtime.exceptions import DataLossError
 from repro.runtime.failure import (
@@ -412,31 +413,27 @@ def _cmd_list() -> int:
     return 0
 
 
-def _resolve_replicas(replicas: Optional[int], placement: Optional[str]) -> int:
-    """Default ``--replicas`` per placement policy.
+def _resolve_replicas(
+    replicas: Optional[int],
+    placement: Optional[str],
+    stable_fallback: bool = False,
+    recovery: str = "checkpoint",
+    default: bool = True,
+) -> Optional[int]:
+    """Check the redundancy flags and resolve the ``--replicas`` default.
 
-    Parity replaces per-key replicas with one XOR block per group, so it
-    defaults to 1 (the primary only) where replica placements default to 2;
-    parity combined with more than one replica is a configuration error.
+    A conflicting combination exits 2 with the factory's error, which
+    names the conflict.  With *default*, an unset ``--replicas`` becomes 1
+    under parity (the primary only: parity replaces per-key replicas) and
+    2 under replica placements.
     """
-    if placement:
-        try:
-            make_placement(placement)  # fail fast on a bad spec
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
-    parity = bool(placement) and placement.split(":", 1)[0] == "parity"
-    if replicas is None:
-        return 1 if parity else 2
-    if parity and replicas > 1:
-        print(
-            f"error: --placement {placement} stores one XOR parity block "
-            f"per group instead of per-key replicas; --replicas {replicas} "
-            "would double-pay for protection. Use --replicas 1 (or shrink "
-            "the group via parity:g).",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+    try:
+        redundancy = make_redundancy(replicas, placement, stable_fallback, recovery=recovery)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    if replicas is None and default:
+        return 1 if redundancy.parity else 2
     return replicas
 
 
@@ -507,10 +504,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if args.corrupt
             else None
         )
-        if args.placement:
-            # Validate the spec (and parity/replicas compatibility) before
-            # building anything; replicas=None still means "object default".
-            _resolve_replicas(args.replicas, args.placement)
+        # Validate before building anything; replicas=None still means
+        # "object default".
+        _resolve_replicas(
+            args.replicas, args.placement, args.stable_fallback, args.recovery, default=False
+        )
         executor = IterativeExecutor(
             rt,
             app,
@@ -682,7 +680,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             places=args.places,
             iterations=args.iterations,
             checkpoint_interval=args.ckpt_interval,
-            replicas=_resolve_replicas(args.replicas, args.placement),
+            replicas=_resolve_replicas(
+                args.replicas, args.placement, args.stable_fallback, args.recovery
+            ),
             placement=args.placement,
             stable_fallback=args.stable_fallback,
             spares=args.spares,

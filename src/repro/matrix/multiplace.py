@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Any
 
-from repro.resilience.snapshot import Snapshottable
+from repro.resilience.snapshot import DistObjectSnapshot, Redundancy, Snapshottable
 from repro.runtime.place import Place, PlaceGroup
 from repro.runtime.runtime import Runtime
 from repro.util.validation import require
@@ -26,22 +26,11 @@ _object_counter = itertools.count()
 class MultiPlaceObject(Snapshottable):
     """Base class: payload-per-place storage plus group management."""
 
-    #: Backup replicas per snapshot partition: 1 is the paper's double
-    #: in-memory store; raise it to survive bursts of correlated failures
-    #: at a proportional checkpoint cost (see the replication ablation).
-    snapshot_backups: int = 1
-    #: Replica placement policy (None = ring offsets, the paper's scheme);
-    #: see :mod:`repro.resilience.placement` for stride/spread policies
-    #: that survive correlated (adjacent / same-rack) failures.
-    snapshot_placement = None
-    #: When True, every snapshot partition is additionally written to the
-    #: stable-storage tier, and restore reads fall back to disk once all
-    #: in-memory copies of a partition are gone (instead of DataLossError).
-    snapshot_stable_fallback: bool = False
-    #: When True, checkpoints go to reliable stable storage instead of the
-    #: in-memory double store (survives anything, pays disk I/O — the
-    #: data-flow-system alternative the paper's introduction contrasts).
-    snapshot_to_stable_storage: bool = False
+    #: Where snapshots keep copies of each partition: the paper's double
+    #: in-memory store by default.  Stores set it per object (see
+    #: :func:`~repro.resilience.snapshot.make_redundancy` for replica
+    #: counts, stride/spread/parity placements and the disk tiers).
+    snapshot_redundancy: Redundancy = Redundancy()
 
     def __init__(self, runtime: Runtime, group: PlaceGroup, name: str):
         require(group.size > 0, "place group must be non-empty")
@@ -56,39 +45,9 @@ class MultiPlaceObject(Snapshottable):
         #: paths read it tens of thousands of times per chaos schedule.
         self.heap_key = ("gml", self.oid)
 
-    def _new_snapshot(self, meta: dict) -> "object":
-        """Build this object's snapshot store per its configuration."""
-        from repro.resilience.snapshot import DistObjectSnapshot
-
-        if self.snapshot_to_stable_storage:
-            from repro.resilience.stable import StableObjectSnapshot
-
-            return StableObjectSnapshot(self.runtime, self.group, meta)
-        from repro.resilience.placement import ParityPlacement
-
-        if isinstance(self.snapshot_placement, ParityPlacement):
-            from repro.resilience.parity import ParityObjectSnapshot
-
-            require(
-                self.snapshot_backups <= 1,
-                "parity placement replaces per-key replicas; configure "
-                "replicas=1 (backups=0) with placement=parity[:g]",
-            )
-            return ParityObjectSnapshot(
-                self.runtime,
-                self.group,
-                meta,
-                placement=self.snapshot_placement,
-                stable_fallback=self.snapshot_stable_fallback,
-            )
-        return DistObjectSnapshot(
-            self.runtime,
-            self.group,
-            meta,
-            backups=self.snapshot_backups,
-            placement=self.snapshot_placement,
-            stable_fallback=self.snapshot_stable_fallback,
-        )
+    def _new_snapshot(self, meta: dict) -> DistObjectSnapshot:
+        """Build this object's snapshot store per its redundancy."""
+        return DistObjectSnapshot(self.runtime, self.group, meta, self.snapshot_redundancy)
 
     # -- heap addressing ----------------------------------------------------
 

@@ -1,10 +1,13 @@
 """The paper's contribution: resilient GML and the iterative framework.
 
 * :class:`Snapshottable` / :class:`DistObjectSnapshot` — per-object
-  snapshot/restore with the tiered k-replica in-memory store (§IV-B
-  generalized; the paper's double store is ``backups=1`` + ring placement);
+  snapshot/restore over a ladder of tiers (primary, replicas, parity, disk;
+  §IV-B generalized — the paper's double store is one ring replica);
+* :class:`Redundancy` / :func:`make_redundancy` — the one redundancy
+  decision every store and GML object reads, checked in one place;
 * :mod:`~repro.resilience.placement` — pluggable replica placement
-  policies (ring / stride / spread) for correlated-failure survival;
+  policies (ring / stride / spread / parity) for correlated-failure
+  survival;
 * :class:`AppResilientStore` — atomic multi-object application checkpoints
   with read-only snapshot reuse (§V-A1, Listing 4);
 * :class:`ResilientIterativeApp` — the 4-method programming model (§V-A2);
@@ -29,8 +32,13 @@ from repro.resilience.placement import (
     StridePlacement,
     make_placement,
 )
-from repro.resilience.snapshot import DistObjectSnapshot, Snapshottable
-from repro.resilience.stable import StableObjectSnapshot, use_stable_storage
+from repro.resilience.snapshot import (
+    DistObjectSnapshot,
+    Redundancy,
+    Snapshottable,
+    make_redundancy,
+    use_stable_storage,
+)
 from repro.resilience.store import AppResilientStore, AppSnapshot
 from repro.resilience.young import (
     expected_overhead_fraction,
@@ -53,7 +61,8 @@ __all__ = [
     "make_placement",
     "DistObjectSnapshot",
     "Snapshottable",
-    "StableObjectSnapshot",
+    "Redundancy",
+    "make_redundancy",
     "use_stable_storage",
     "AppResilientStore",
     "AppSnapshot",

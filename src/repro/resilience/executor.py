@@ -51,8 +51,9 @@ from repro.resilience.iterative import (
     ResilientIterativeApp,
     RestoreContext,
 )
-from repro.resilience.placement import ParityPlacement, ReplicaPlacement
+from repro.resilience.placement import ReplicaPlacement
 from repro.resilience.reconstruct import ReconstructionStore
+from repro.resilience.snapshot import make_redundancy
 from repro.resilience.store import AppResilientStore
 from repro.runtime.detector import PhiAccrualDetector
 from repro.runtime.exceptions import (
@@ -270,13 +271,7 @@ class IterativeExecutor:
                 "recovery='reconstruct' needs a ReconstructableIterativeApp "
                 "(publish_redundant/reconstruct)",
             )
-            require(
-                not isinstance(placement, ParityPlacement),
-                "recovery='reconstruct' publishes per-key replicas whose "
-                "placement mirrors the checkpoint store's; parity placement "
-                "applies to snapshot stores only — use recovery='checkpoint' "
-                "with placement=parity[:g]",
-            )
+        make_redundancy(replicas, placement, stable_fallback, recovery=recovery)
         self.runtime = runtime
         self.app = app
         #: The executor's slice of the place pool.  Replacement places are
@@ -696,9 +691,7 @@ class IterativeExecutor:
                                 # Scrubbing runs between finishes, so due
                                 # context kills are polled explicitly.
                                 rt.poll_failures()
-                                repair = getattr(snap, "repair", None)
-                                if repair is not None:
-                                    repaired += repair(new_group)
+                                repaired += snap.repair(new_group)
                         except (DeadPlaceException, MultipleException) as again:
                             # A kill mid-scrub: the restored state may span
                             # the new victims, so go around the full loop —

@@ -1,66 +1,47 @@
-"""Erasure-coded parity tier for the snapshot store (ROADMAP item 1).
+"""Erasure-coded parity tier for the snapshot ladder.
 
 Replication pays ``k x`` checkpoint bytes to survive ``k`` losses per key.
 ReStore (arXiv:2203.01107) and the extreme-scale multigrid resilience work
 (arXiv:1506.06185) both observe that *single* losses — by far the common
 case — are recoverable from a parity code at a fraction of that footprint.
-:class:`ParityObjectSnapshot` implements the XOR variant: partitions are
-grouped in runs of ``g`` consecutive group indices, and each group stores
-one parity block — the XOR of the members' serialized bytes, zero-padded
-to the longest member — on a place *outside* the group (chosen through
-``resolve_offsets``, so the block never co-resides with a member primary).
+:class:`Parity` implements the XOR variant: each run of ``span``
+consecutive partitions stores one block — the XOR of the members' byte
+streams, zero-padded to the longest — on a place *outside* the group
+(chosen through ``resolve_offsets``).  The ladder ``(Primary, Parity,
+Disk?)`` then absorbs any single loss per group in memory at ``~(1 +
+1/g)x`` bytes; two losses in one group before a repair fall through to
+disk or a documented ``DataLossError``.
 
-Recovery ladder for a key: primary -> **parity-reconstruct** (XOR the
-group's parity block with every surviving peer) -> stable disk ->
-``DataLossError``.  Any single loss per group is absorbed in memory at
-``~(1 + 1/g)x`` checkpoint bytes; two losses in one group before a repair
-exceed the code's strength and fall through to disk or a documented loss.
+Blocks carry a CRC-32, are verified before any reconstruction and by
+``verify_all``, and a corrupt block is quarantined.  Delta checkpointing
+composes (XOR is incremental: an unchanged group adopts its base block by
+reference at zero virtual cost, a partly-dirty one charges its dirty
+members only), and :meth:`Parity.repair` is the post-recovery scrub.
 
-Parity blocks are first-class copies of the integrity machinery: they
-carry a CRC-32, are verified before any reconstruction, participate in
-``verify_all``, and a corrupt block is quarantined with fall-through to
-the next tier.  Delta checkpointing composes: XOR is incremental, so an
-unchanged group adopts its base parity block by reference at zero virtual
-cost, and a partly-dirty group charges transfers for the dirty members
-only.  :meth:`ParityObjectSnapshot.repair` is the scrub pass — after a
-recovery it re-materializes lost primaries from the parity tier and
-rebuilds missing parity blocks so protection does not erode across a long
-campaign.
-
-Simulation note: XOR blocks are *really* computed over the members' byte
-streams (reconstruction re-materializes the payload and is
-checksum-verified against the original), while the virtual-time charge
-follows the cost model's dirty-bytes accounting — the same
-wall-work/modeled-cost split the rest of the store uses.  When every
-member of a group is a single-contiguous-array payload (``Vector``,
-``DenseMatrix``, or a bare ndarray) the stream is the **raw NumPy
-buffer** viewed as ``uint8`` — no pickling, no padding beyond the group
-maximum, and reconstruction rebuilds the payload from the recorded
-``(class, dtype, shape)`` codec.  Ragged payloads (multi-array sparse
-partitions, containers) fall back to the pickled encoding per group; the
-CRC gates and the block-size accounting are the same in both modes, only
-the byte stream differs.
+XOR blocks are *really* computed, while virtual time follows the cost
+model's dirty-bytes accounting.  Single-array members (``Vector``,
+``DenseMatrix``, a bare ndarray) XOR their **raw NumPy buffers** and are
+rebuilt from a ``(class, dtype, shape)`` codec; a group with a ragged
+member (sparse partitions, containers) XORs pickled streams instead.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.resilience.placement import ParityPlacement, ReplicaPlacement
-from repro.resilience.snapshot import DistObjectSnapshot
-from repro.runtime.exceptions import DataLossError, SnapshotCorruptionError
+from repro.resilience.placement import ParityPlacement
+from repro.resilience.snapshot import PARITY_TIER, PRIMARY, STABLE_TIER, Tier
+from repro.runtime.exceptions import DataLossError
 from repro.runtime.place import PlaceGroup
-from repro.runtime.runtime import PlaceContext, Runtime
 from repro.util.bytesize import payload_nbytes
-from repro.util.checksum import corrupt_payload, memoized_checksum
-from repro.util.validation import require
+from repro.util.checksum import memoized_checksum
 from repro.util.versioning import freeze_payload
 
-#: Sentinel "tier" for a group's parity block (the stable tier is -1).
-PARITY_TIER = -2
+__all__ = ["PARITY_TIER", "Parity"]
 
 
 def _pickled(payload: Any) -> bytes:
@@ -68,16 +49,11 @@ def _pickled(payload: Any) -> bytes:
 
 
 def _raw_codec(payload: Any) -> Optional[Tuple[tuple, np.ndarray]]:
-    """``(codec, flat uint8 view)`` for single-array payloads, else None.
-
-    The raw XOR fast path applies to payloads whose bytes are exactly one
-    C-contiguous NumPy buffer: a bare ndarray, or a wrapper (``Vector``,
-    ``DenseMatrix``) whose ``payload_arrays()`` is its sole ``.data``
-    array and whose constructor rebuilds from that array.  The codec
-    ``(cls_or_None, dtype_str, shape)`` is everything reconstruction
-    needs; ragged payloads (sparse partitions, containers) return None
-    and the group falls back to the pickled encoding.
-    """
+    """``(codec, flat uint8 view)`` when the payload's bytes are exactly one
+    C-contiguous array — a bare ndarray, or a wrapper whose sole
+    ``payload_arrays()`` entry is its ``.data`` and whose constructor
+    rebuilds from it — else None.  The codec is ``(cls_or_None,
+    dtype_str, shape)``."""
     if type(payload) is np.ndarray:
         arr, cls = payload, None
     else:
@@ -93,193 +69,140 @@ def _raw_codec(payload: Any) -> Optional[Tuple[tuple, np.ndarray]]:
     return (cls, arr.dtype.str, arr.shape), arr.view(np.uint8).reshape(-1)
 
 
-class ParityObjectSnapshot(DistObjectSnapshot):
-    """Snapshot whose redundancy is one XOR parity block per key group.
+def _stream(payload: Any, raw: bool) -> Optional[np.ndarray]:
+    """A member's XOR byte stream in the group's encoding (None when a raw
+    group's member no longer has a raw encoding)."""
+    if raw:
+        rc = _raw_codec(payload)
+        return None if rc is None else rc[1]
+    return np.frombuffer(_pickled(payload), dtype=np.uint8)
 
-    Keys keep their tier-0 primary; instead of per-key replicas
-    (``backups`` is forced to 0) each group of up to ``g`` consecutive
-    keys XORs its members into ``("snapp", id, gidx)`` on the group's
-    parity place.  Reconstructed payloads are materialized on that place
-    under ``("snapr", id, key)`` so ``fetch`` reads them like any other
-    in-memory copy.
+
+def _transfer(rt, src: int, dst: int, nbytes: int) -> None:
+    """One engine-routed member-to-parity-place transfer."""
+    if src != dst:
+        arrive = rt.engine.transfer(src, dst, nbytes, rt.clock.now(src))
+        rt.clock.set_at_least(dst, arrive)
+        rt.stats.messages += 1
+        rt.stats.bytes_sent += rt.cost.scaled_bytes(nbytes)
+
+
+@dataclass(frozen=True)
+class Parity(Tier):
+    """One XOR parity block per group of ``span`` consecutive keys.
+
+    Per-snapshot state: ``_parity`` maps each sealed group to its block's
+    ``(CRC-32, raw?)``, ``_parity_keys`` each member to its ``(stream
+    length, raw codec or None)``, and ``_parity_base`` is the delta base.
+    Blocks live under ``("snapp", id, group)`` on the group's parity place;
+    reconstructions are materialized there under ``("snapr", id, key)`` so
+    ``fetch`` reads them like any other in-memory copy.
     """
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        group: PlaceGroup,
-        meta: Optional[Dict[str, Any]] = None,
-        placement: Optional[ReplicaPlacement] = None,
-        stable_fallback: bool = False,
-    ):
-        placement = placement if placement is not None else ParityPlacement()
-        require(
-            isinstance(placement, ParityPlacement),
-            f"ParityObjectSnapshot requires a ParityPlacement, got {placement!r}",
-        )
-        super().__init__(
-            runtime,
-            group,
-            meta,
-            backups=0,
-            placement=placement,
-            stable_fallback=stable_fallback,
-        )
-        #: Members per parity group (capped so a group-external place exists).
-        self._span = placement.group_span(group.size)
-        #: Group indices whose parity block has been built (or adopted).
-        self._parity: Set[int] = set()
-        #: CRC-32 per parity block, recorded at build time.
-        self._parity_checksums: Dict[int, int] = {}
-        #: Stream length per key (the truncation bound at reconstruct):
-        #: raw buffer bytes in raw mode, pickled length in fallback mode.
-        self._parity_lengths: Dict[int, int] = {}
-        #: Groups whose block XORs raw NumPy buffers (vs pickled blobs).
-        self._parity_raw: Set[int] = set()
-        #: Per-key ``(cls, dtype, shape)`` rebuild recipe for raw groups.
-        self._parity_codecs: Dict[int, tuple] = {}
-        #: Base snapshot donating clean partitions (delta saves).
-        self._parity_base: Optional["ParityObjectSnapshot"] = None
-        #: Bytes held in parity blocks (the ~1/g overhead; part of
-        #: ``total_nbytes``).
-        self.parity_nbytes = 0.0
-        #: Reads satisfied by XOR reconstruction instead of a copy.
-        self.parity_reads = 0
+    span: int
+
+    def attach(self, snap) -> None:
+        snap._parity = {}
+        snap._parity_keys = {}
+        snap._parity_base = None
 
     # -- group geometry ----------------------------------------------------
 
-    def _parity_key(self, gidx: int) -> tuple:
-        return ("snapp", self.snap_id, gidx)
+    def group_of(self, key: int) -> int:
+        return key // self.span
 
-    def _recon_key(self, key: int) -> tuple:
-        return ("snapr", self.snap_id, key)
+    def members(self, snap, gidx: int) -> range:
+        start = gidx * self.span
+        return range(start, min(start + self.span, snap.group.size))
 
-    def _parity_group(self, key: int) -> int:
-        return key // self._span
+    def saved_members(self, snap, gidx: int) -> List[int]:
+        return [m for m in self.members(snap, gidx) if m in snap._saved_keys]
 
-    def _group_members(self, gidx: int) -> List[int]:
-        start = gidx * self._span
-        return list(range(start, min(start + self._span, self.group.size)))
+    def place_id(self, snap, gidx: int) -> int:
+        g, size = self.members(snap, gidx), snap.group.size
+        return snap.group[ParityPlacement.parity_index(g.start, len(g), size)].id
 
-    def _saved_members(self, gidx: int) -> List[int]:
-        return [m for m in self._group_members(gidx) if m in self._saved_keys]
+    def block(self, snap, gidx: int) -> Tuple[int, tuple]:
+        """``(place id, heap key)`` of the group's parity block."""
+        return self.place_id(snap, gidx), ("snapp", snap.snap_id, gidx)
 
-    def _parity_place(self, gidx: int):
-        members = self._group_members(gidx)
-        index = self.placement.parity_index(
-            gidx * self._span, len(members), self.group.size
-        )
-        return self.group[index]
-
-    def _canonical(self, gidx: int) -> Tuple[int, int]:
-        """The ``(key, tier)`` bookkeeping entry for a group's parity block
+    def canonical(self, gidx: int) -> Tuple[int, int]:
+        """The ``(key, tier)`` bookkeeping entry for a group's block
         (anchored to the group's first member)."""
-        return (self._group_members(gidx)[0], PARITY_TIER)
+        return (gidx * self.span, PARITY_TIER)
 
-    def _groups(self) -> List[int]:
-        return sorted({self._parity_group(key) for key in self._saved_keys})
+    def groups(self, snap) -> List[int]:
+        return sorted({self.group_of(key) for key in snap._saved_keys})
+
+    def has_block(self, snap, gidx: int) -> bool:
+        return gidx in snap._parity and snap._holds(*self.block(snap, gidx))
+
+    def _primaries_present(self, snap, keys) -> bool:
+        return all(snap._holds(*PRIMARY.home(snap, m)) for m in keys)
+
+    def copies(self, snap, key: int):
+        """A sealed group's block, listed under the group's first member
+        (so a corruption sweep strikes each block at per-copy odds)."""
+        gidx = self.group_of(key)
+        if key == gidx * self.span and gidx in snap._parity:
+            return ((PARITY_TIER,) + self.block(snap, gidx),)
+        return ()
 
     # -- saving ------------------------------------------------------------
 
-    def save_from(
-        self, ctx: PlaceContext, key: int, payload: Any, token: Optional[Any] = None
-    ) -> None:
-        super().save_from(ctx, key, payload, token)
-        self._after_key_saved(key)
+    def adopt(self, snap, key, base) -> None:
+        snap._parity_base = base
+        snap._parity_keys[key] = base._parity_keys.get(key, (0, None))
 
-    def save_clean_from(
-        self, ctx: PlaceContext, key: int, base: "DistObjectSnapshot"
-    ) -> None:
-        self._parity_base = base
-        super().save_clean_from(ctx, key, base)
-        self._parity_lengths[key] = base._parity_lengths.get(key, 0)
-        if key in base._parity_codecs:
-            self._parity_codecs[key] = base._parity_codecs[key]
-        self._after_key_saved(key)
-
-    def _after_key_saved(self, key: int) -> None:
-        """Seal the key's parity group once every member has been saved.
-
-        An all-clean group whose base parity block survives adopts it by
-        reference (zero virtual cost — the XOR of unchanged bytes is
-        unchanged).  Otherwise the block is rebuilt; with an intact base
-        the XOR update is incremental, so only dirty members are charged.
-        """
-        gidx = self._parity_group(key)
-        if gidx in self._parity:
+    def seal(self, snap, key: int) -> None:
+        """Seal the key's group once every member is saved: an all-clean
+        group adopts its surviving base block by reference (zero virtual
+        cost); otherwise the block is rebuilt, charging only the dirty
+        members when an intact base makes the XOR update incremental."""
+        gidx = self.group_of(key)
+        if gidx in snap._parity:
             return
-        members = self._group_members(gidx)
-        if any(m not in self._saved_keys for m in members):
+        members = self.members(snap, gidx)
+        if any(m not in snap._saved_keys for m in members):
             return
-        base = self._parity_base
-        base_ok = (
-            base is not None
-            and gidx in base._parity
-            and self.runtime.is_alive(base._parity_place(gidx).id)
-            and self.runtime.heap_of(base._parity_place(gidx).id).contains(
-                base._parity_key(gidx)
-            )
-        )
-        if base_ok and all(m in self.clean_keys for m in members):
-            self._adopt_parity(gidx, base)
+        base = snap._parity_base
+        base_ok = base is not None and self.has_block(base, gidx)
+        if base_ok and all(m in snap.clean_keys for m in members):
+            rt = snap.runtime
+            pid, base_key = self.block(base, gidx)
+            block = rt.heap_of(pid).get(base_key)
+            rt.heap_of(pid).put(("snapp", snap.snap_id, gidx), block)
+            snap._parity[gidx] = base._parity[gidx]
+            if self.canonical(gidx) in base._verified:
+                snap._verified.add(self.canonical(gidx))
+            snap.parity_nbytes += block.size
+            snap.total_nbytes += block.size
             return
-        parity_place = self._parity_place(gidx)
-        if not self.runtime.is_alive(parity_place.id):
+        if not snap.runtime.is_alive(self.place_id(snap, gidx)):
             # No home for the block: the group runs unprotected until a
             # repair pass (key_intact stays False, forcing dirty re-saves).
             return
-        dirty = [m for m in members if m not in self.clean_keys]
-        self._build_parity(gidx, charge_keys=dirty if base_ok else members)
+        dirty = [m for m in members if m not in snap.clean_keys]
+        self._build(snap, gidx, charge_keys=dirty if base_ok else list(members))
 
-    def _adopt_parity(self, gidx: int, base: "ParityObjectSnapshot") -> None:
-        rt = self.runtime
-        parity_place = base._parity_place(gidx)
-        block = rt.heap_of(parity_place.id).get(base._parity_key(gidx))
-        rt.heap_of(parity_place.id).put(self._parity_key(gidx), block)
-        self._parity_checksums[gidx] = base._parity_checksums[gidx]
-        if gidx in base._parity_raw:
-            self._parity_raw.add(gidx)
-        else:
-            self._parity_raw.discard(gidx)
-        if base._canonical(gidx) in base._verified:
-            self._verified.add(self._canonical(gidx))
-        self._parity.add(gidx)
-        nbytes = payload_nbytes(block)
-        self.parity_nbytes += nbytes
-        self.total_nbytes += nbytes
-
-    def _build_parity(self, gidx: int, charge_keys: List[int]) -> None:
-        """Compute and store the group's XOR block; charge *charge_keys*.
-
-        The XOR always runs over every member (wall-clock work), but the
-        virtual-time charge covers only *charge_keys* — all members on a
-        fresh build, the dirty members alone when an intact base block
-        makes the update incremental.
-        """
-        rt = self.runtime
+    def _build(self, snap, gidx: int, charge_keys: List[int]) -> None:
+        """Compute and store the group's XOR block over every member; the
+        virtual-time charge covers *charge_keys* only."""
+        rt = snap.runtime
         cost = rt.cost
-        members = self._saved_members(gidx)
-        parity_place = self._parity_place(gidx)
+        pid, block_key = self.block(snap, gidx)
         payloads = {
-            m: rt.heap_of(self.group[m].id).get(self._primary_key(m))
-            for m in members
+            m: rt.heap_of(snap.group[m].id).get(("snap", snap.snap_id, m))
+            for m in self.saved_members(snap, gidx)
         }
         raw = {m: _raw_codec(p) for m, p in payloads.items()}
-        streams: Dict[int, np.ndarray] = {}
-        if all(rc is not None for rc in raw.values()):
-            # Raw mode: XOR the members' contiguous buffers directly — no
+        all_raw = all(rc is not None for rc in raw.values())
+        streams = {}
+        for m, payload in payloads.items():
+            # Raw mode XORs the members' contiguous buffers directly — no
             # pickling, no per-member blob materialization.
-            self._parity_raw.add(gidx)
-            for m, rc in raw.items():
-                self._parity_codecs[m] = rc[0]
-                streams[m] = rc[1]
-        else:
-            self._parity_raw.discard(gidx)
-            for m in members:
-                self._parity_codecs.pop(m, None)
-                streams[m] = np.frombuffer(_pickled(payloads[m]), dtype=np.uint8)
-        for m, stream in streams.items():
-            self._parity_lengths[m] = stream.size
+            streams[m] = raw[m][1] if all_raw else _stream(payload, raw=False)
+            snap._parity_keys[m] = (streams[m].size, raw[m][0] if all_raw else None)
         maxlen = max(stream.size for stream in streams.values())
         acc = np.zeros(maxlen, dtype=np.uint8)
         for stream in streams.values():
@@ -287,164 +210,105 @@ class ParityObjectSnapshot(DistObjectSnapshot):
         acc.setflags(write=False)
         charged_bytes = 0
         for m in charge_keys:
-            if m not in streams:
-                continue
-            nbytes = streams[m].size
-            src = self.group[m].id
-            if src != parity_place.id:
-                arrive = rt.engine.transfer(
-                    src, parity_place.id, nbytes, rt.clock.now(src)
-                )
-                rt.clock.set_at_least(parity_place.id, arrive)
-                rt.stats.messages += 1
-                rt.stats.bytes_sent += cost.scaled_bytes(nbytes)
-            charged_bytes += nbytes
-        rt.clock.advance(
-            parity_place.id, cost.flops(charged_bytes) + cost.checksum(maxlen)
+            if m in streams:
+                _transfer(rt, snap.group[m].id, pid, streams[m].size)
+                charged_bytes += streams[m].size
+        rt.clock.advance(pid, cost.flops(charged_bytes) + cost.checksum(maxlen))
+        rt.heap_of(pid).put(block_key, acc)
+        snap._parity[gidx] = (memoized_checksum(acc, None), all_raw)
+        snap._verified.add(self.canonical(gidx))
+        snap.parity_nbytes += maxlen
+        snap.total_nbytes += maxlen
+
+    def _drop_block(self, snap, gidx: int, stale: bool = False) -> None:
+        """Quarantine a corrupt block, or drop a *stale* one (its XOR
+        equation no longer covers the members; its bytes leave)."""
+        pid, block_key = self.block(snap, gidx)
+        heap = snap.runtime.heap_of(pid)
+        if stale:
+            snap.parity_nbytes -= heap.get(block_key).size
+            snap.total_nbytes -= heap.get(block_key).size
+        else:
+            snap.quarantined.append(self.canonical(gidx))
+        heap.remove_if_present(block_key)
+        snap._parity.pop(gidx, None)
+        snap._verified.discard(self.canonical(gidx))
+
+    # -- presence ----------------------------------------------------------
+
+    def intact(self, snap, key: int) -> bool:
+        """Conservative: the group's parity block and every member primary
+        must survive — a degraded group must re-save dirty so the next
+        checkpoint rebuilds full protection."""
+        gidx = self.group_of(key)
+        return self.has_block(snap, gidx) and self._primaries_present(
+            snap, self.saved_members(snap, gidx)
         )
-        rt.heap_of(parity_place.id).put(self._parity_key(gidx), acc)
-        self._parity_checksums[gidx] = memoized_checksum(acc, None)
-        self._verified.add(self._canonical(gidx))
-        self._parity.add(gidx)
-        self.parity_nbytes += maxlen
-        self.total_nbytes += maxlen
 
-    def stored_nbytes(self) -> float:
-        """Physical bytes: each partition once, plus the parity blocks
-        (the ``~(1 + 1/g)x`` footprint), plus the optional disk copies."""
-        logical = self.total_nbytes - self.parity_nbytes
-        return self.total_nbytes + (logical if self.stable_fallback else 0.0)
+    def homes(self, snap, key: int) -> Tuple[int, ...]:
+        return (self.place_id(snap, self.group_of(key)),)
 
-    # -- delta compatibility ----------------------------------------------
+    def stored_nbytes(self, snap, logical: float) -> float:
+        return snap.parity_nbytes
 
-    def delta_compatible(self, base: "DistObjectSnapshot") -> bool:
-        return super().delta_compatible(base) and base._span == self._span
-
-    def key_intact(self, key: int) -> bool:
-        """Conservative: the key's primary, its group's parity block, and
-        every peer primary must survive — a degraded group must re-save
-        dirty so the next checkpoint rebuilds full protection."""
-        if not super().key_intact(key):
-            return False
-        rt = self.runtime
-        gidx = self._parity_group(key)
-        if gidx not in self._parity:
-            return False
-        parity_place = self._parity_place(gidx)
-        if not rt.is_alive(parity_place.id) or not rt.heap_of(
-            parity_place.id
-        ).contains(self._parity_key(gidx)):
-            return False
-        for m in self._saved_members(gidx):
-            place = self.group[m]
-            if not rt.is_alive(place.id) or not rt.heap_of(place.id).contains(
-                self._primary_key(m)
-            ):
-                return False
-        return True
-
-    # -- locating / reconstruction ----------------------------------------
-
-    def locate(self, key: int) -> Tuple[int, tuple]:
-        """Primary -> parity-reconstruct -> stable, verified at each rung."""
-        require(key in self._saved_keys, f"snapshot has no key {key}")
-        rt = self.runtime
-        primary = self.group[key]
-        quarantined_before = len(self.quarantined)
-        if rt.is_alive(primary.id) and rt.heap_of(primary.id).contains(
-            self._primary_key(key)
-        ):
-            if self._verify_copy(key, 0, primary.id, self._primary_key(key)):
-                return primary.id, self._primary_key(key)
-        hit = self._locate_via_parity(key)
-        if hit is not None:
-            return hit
-        if key in self._stable:
-            if self._verify_copy(key, self.STABLE_TIER, self.STABLE_TIER, None):
-                return self.STABLE_TIER, ("stable", self.snap_id, key)
-        if len(self.quarantined) > quarantined_before:
-            raise SnapshotCorruptionError(
-                f"every surviving copy of snapshot key {key} failed checksum "
-                f"verification and was quarantined "
-                f"({len(self.quarantined) - quarantined_before} this search)"
-            )
-        raise DataLossError(
+    def lost(self, snap, key: int) -> str:
+        return (
             f"primary and parity tiers of snapshot key {key} lost (primary "
-            f"{primary}; >=2 members of parity group "
-            f"{self._parity_group(key)} gone before repair; no stable-"
+            f"{snap.group[key]}; >=2 members of parity group "
+            f"{self.group_of(key)} gone before repair; no stable-"
             f"storage tier)"
         )
 
-    def _verify_parity_block(self, gidx: int) -> bool:
+    # -- integrity ---------------------------------------------------------
+
+    def verify(self, snap, key: int, copy=None) -> bool:
         """Checksum the group's parity block; quarantine on mismatch."""
-        canon = self._canonical(gidx)
-        if canon in self._verified:
+        gidx = self.group_of(key)
+        canon = self.canonical(gidx)
+        if canon in snap._verified:
             return True
-        rt = self.runtime
-        parity_place = self._parity_place(gidx)
-        block = rt.heap_of(parity_place.id).get(self._parity_key(gidx))
-        rt.clock.advance(
-            parity_place.id, rt.cost.checksum(payload_nbytes(block))
-        )
-        if memoized_checksum(block, None) == self._parity_checksums.get(gidx):
-            self._verified.add(canon)
+        rt = snap.runtime
+        pid, block_key = self.block(snap, gidx)
+        block = rt.heap_of(pid).get(block_key)
+        rt.clock.advance(pid, rt.cost.checksum(payload_nbytes(block)))
+        if memoized_checksum(block, None) == snap._parity[gidx][0]:
+            snap._verified.add(canon)
             return True
-        rt.heap_of(parity_place.id).remove_if_present(self._parity_key(gidx))
-        self._parity.discard(gidx)
-        self.quarantined.append(canon)
+        self._drop_block(snap, gidx)
         return False
 
-    def _locate_via_parity(self, key: int) -> Optional[Tuple[int, tuple]]:
-        """Reconstruct *key* from its group's parity block, if possible.
+    # -- reconstruction ------------------------------------------------------
 
-        Requires the (verified) parity block plus a verified primary for
-        every peer; any hole means the loss exceeds the code's strength
-        and the caller falls through to the stable tier.  The payload is
-        materialized on the parity place and checked against the key's
-        save-time CRC before being offered — a garbled reconstruction is
-        quarantined, never returned.
-        """
-        rt = self.runtime
-        gidx = self._parity_group(key)
-        parity_place = self._parity_place(gidx)
-        recon_key = self._recon_key(key)
-        if rt.is_alive(parity_place.id) and rt.heap_of(parity_place.id).contains(
-            recon_key
-        ):
-            return parity_place.id, recon_key
-        if gidx not in self._parity:
+    def locate(self, snap, key: int) -> Optional[Tuple[int, tuple]]:
+        """Reconstruct *key* from the verified block and a verified primary
+        of every peer (any hole exceeds the code: fall through).  The
+        payload is materialized on the parity place and checked against
+        the key's save-time CRC — a garbled one is quarantined, never
+        returned."""
+        rt = snap.runtime
+        gidx = self.group_of(key)
+        pid, block_key = self.block(snap, gidx)
+        recon_key = ("snapr", snap.snap_id, key)
+        if snap._holds(pid, recon_key):
+            return pid, recon_key
+        if not self.has_block(snap, gidx) or not self.verify(snap, key):
             return None
-        if not rt.is_alive(parity_place.id) or not rt.heap_of(
-            parity_place.id
-        ).contains(self._parity_key(gidx)):
-            return None
-        if not self._verify_parity_block(gidx):
-            return None
-        peers = [m for m in self._saved_members(gidx) if m != key]
+        peers = [m for m in self.saved_members(snap, gidx) if m != key]
         for m in peers:
-            place = self.group[m]
-            if not rt.is_alive(place.id) or not rt.heap_of(place.id).contains(
-                self._primary_key(m)
-            ):
-                return None
-            if not self._verify_copy(m, 0, place.id, self._primary_key(m)):
+            if PRIMARY.locate(snap, m) is None:
                 return None
         cost = rt.cost
-        raw = gidx in self._parity_raw
-        block = rt.heap_of(parity_place.id).get(self._parity_key(gidx))
+        raw = snap._parity[gidx][1]
+        block = rt.heap_of(pid).get(block_key)
         acc = np.array(block, dtype=np.uint8)
         xored = payload_nbytes(block)
         for m in peers:
-            payload = rt.heap_of(self.group[m].id).get(self._primary_key(m))
-            if raw:
-                rc = _raw_codec(payload)
-                if rc is None:
-                    # A peer no longer matches the raw encoding the block
-                    # was built with — the XOR equation cannot be solved.
-                    return None
-                stream = rc[1]
-            else:
-                stream = np.frombuffer(_pickled(payload), dtype=np.uint8)
+            src, primary_key = PRIMARY.home(snap, m)
+            stream = _stream(rt.heap_of(src).get(primary_key), raw)
+            if stream is None:
+                # A peer no longer matches the raw encoding the block was
+                # built with — the XOR equation cannot be solved.
+                return None
             if stream.size > acc.size:
                 # The member's byte stream outgrew the block since it was
                 # built — a re-materialized primary whose serialized form
@@ -453,244 +317,81 @@ class ParityObjectSnapshot(DistObjectSnapshot):
                 # longer covers the member: drop the stale block so the
                 # next checkpoint or repair pass rebuilds it, and fall
                 # through to the next tier.
-                nb = payload_nbytes(block)
-                self.parity_nbytes -= nb
-                self.total_nbytes -= nb
-                rt.heap_of(parity_place.id).remove_if_present(
-                    self._parity_key(gidx)
-                )
-                self._parity.discard(gidx)
-                self._verified.discard(self._canonical(gidx))
+                self._drop_block(snap, gidx, stale=True)
                 return None
             acc[: stream.size] ^= stream
             xored += stream.size
-            src = self.group[m].id
-            if src != parity_place.id:
-                arrive = rt.engine.transfer(
-                    src, parity_place.id, stream.size, rt.clock.now(src)
-                )
-                rt.clock.set_at_least(parity_place.id, arrive)
-                rt.stats.messages += 1
-                rt.stats.bytes_sent += cost.scaled_bytes(stream.size)
-        length = self._parity_lengths.get(key)
-        if length is None or length > acc.size:
-            self.quarantined.append(self._canonical(gidx))
+            _transfer(rt, src, pid, stream.size)
+        length, codec = snap._parity_keys.get(key, (None, None))
+        if length is None or length > acc.size or (raw and codec is None):
+            snap.quarantined.append(self.canonical(gidx))
             return None
         if raw:
-            codec = self._parity_codecs.get(key)
-            if codec is None:
-                self.quarantined.append(self._canonical(gidx))
-                return None
             cls, dtype, shape = codec
-            data = (
-                np.frombuffer(acc[:length].tobytes(), dtype=np.dtype(dtype))
-                .reshape(shape)
-                .copy()
-            )
+            data = np.frombuffer(acc[:length].tobytes(), dtype=np.dtype(dtype))
+            data = data.reshape(shape).copy()
             payload = data if cls is None else cls(data)
         else:
             payload = pickle.loads(acc[:length].tobytes())
         freeze_payload(payload)
         nbytes = payload_nbytes(payload)
-        rt.clock.advance(
-            parity_place.id,
-            cost.flops(xored) + cost.memcpy(nbytes) + cost.checksum(nbytes),
-        )
-        if memoized_checksum(payload, None) != self._expected_checksum(key):
+        rt.clock.advance(pid, cost.flops(xored) + cost.memcpy(nbytes) + cost.checksum(nbytes))
+        if memoized_checksum(payload, None) != snap._expected_checksum(key):
             # The block XORed clean but the result does not hash to the
             # partition saved — a silently corrupt peer slipped through.
             # Quarantine the block and fall through to the next tier.
-            rt.heap_of(parity_place.id).remove_if_present(self._parity_key(gidx))
-            self._parity.discard(gidx)
-            self._verified.discard(self._canonical(gidx))
-            self.quarantined.append(self._canonical(gidx))
+            self._drop_block(snap, gidx)
             return None
-        rt.heap_of(parity_place.id).put(recon_key, payload)
-        self._verified.add((key, 0))
-        self.parity_reads += 1
+        rt.heap_of(pid).put(recon_key, payload)
+        snap._verified.add((key, 0))
+        snap.parity_reads += 1
         rt.stats.parity_reconstructions += 1
-        return parity_place.id, recon_key
-
-    # -- corruption / integrity -------------------------------------------
-
-    def tiers(self, key: int) -> List[int]:
-        """0 = primary, :data:`PARITY_TIER` = the group's parity block
-        (reported on the group's first member only, so a corruption sweep
-        strikes each block at per-copy odds), stable last."""
-        out = super().tiers(key)
-        gidx = self._parity_group(key)
-        if (
-            key == self._group_members(gidx)[0]
-            and gidx in self._parity
-            and self.runtime.is_alive(self._parity_place(gidx).id)
-            and self.runtime.heap_of(self._parity_place(gidx).id).contains(
-                self._parity_key(gidx)
-            )
-        ):
-            insert_at = 1 if 0 in out else 0
-            out.insert(insert_at, PARITY_TIER)
-        return out
-
-    def corrupt_copy(self, key: int, tier: int) -> bool:
-        if tier != PARITY_TIER:
-            return super().corrupt_copy(key, tier)
-        rt = self.runtime
-        gidx = self._parity_group(key)
-        if gidx not in self._parity:
-            return False
-        parity_place = self._parity_place(gidx)
-        if not rt.is_alive(parity_place.id):
-            return False
-        heap = rt.heap_of(parity_place.id)
-        if not heap.contains(self._parity_key(gidx)):
-            return False
-        heap.put(self._parity_key(gidx), corrupt_payload(heap.get(self._parity_key(gidx))))
-        self._verified.discard(self._canonical(gidx))
-        return True
-
-    def verify_all(self) -> Tuple[int, int]:
-        clean = 0
-        before = len(self.quarantined)
-        for key in self.saved_keys():
-            for tier in self.tiers(key):
-                if tier == self.STABLE_TIER:
-                    ok = self._verify_copy(key, tier, self.STABLE_TIER, None)
-                elif tier == PARITY_TIER:
-                    ok = self._verify_parity_block(self._parity_group(key))
-                else:
-                    ok = self._verify_copy(
-                        key, 0, self.group[key].id, self._primary_key(key)
-                    )
-                if ok:
-                    clean += 1
-        return clean, len(self.quarantined) - before
-
-    # -- health ------------------------------------------------------------
-
-    def fully_redundant(self) -> bool:
-        if not super().fully_redundant():
-            return False
-        rt = self.runtime
-        for gidx in self._groups():
-            if gidx not in self._parity:
-                return False
-            parity_place = self._parity_place(gidx)
-            if not rt.is_alive(parity_place.id) or not rt.heap_of(
-                parity_place.id
-            ).contains(self._parity_key(gidx)):
-                return False
-        return True
-
-    def recoverable(self) -> bool:
-        """Presence-based (no reconstruction side effects): every key has a
-        live primary, a stable copy, or a complete parity equation."""
-        rt = self.runtime
-
-        def _present(key: int) -> bool:
-            place = self.group[key]
-            return rt.is_alive(place.id) and rt.heap_of(place.id).contains(
-                self._primary_key(key)
-            )
-
-        for key in self._saved_keys:
-            if _present(key):
-                continue
-            if key in self._stable:
-                continue
-            gidx = self._parity_group(key)
-            parity_place = self._parity_place(gidx)
-            if (
-                gidx in self._parity
-                and rt.is_alive(parity_place.id)
-                and (
-                    rt.heap_of(parity_place.id).contains(self._parity_key(gidx))
-                    or rt.heap_of(parity_place.id).contains(self._recon_key(key))
-                )
-                and all(
-                    _present(m) for m in self._saved_members(gidx) if m != key
-                )
-            ):
-                continue
-            return False
-        return True
-
-    def placement_ok(self) -> bool:
-        if not super().placement_ok():
-            return False
-        if self.group.size <= 1:
-            return True
-        for gidx in self._groups():
-            member_places = {self.group[m].id for m in self._saved_members(gidx)}
-            if self._parity_place(gidx).id in member_places:
-                return False
-        return True
+        return pid, recon_key
 
     # -- scrub / repair -----------------------------------------------------
 
-    def repair(self, new_group: Optional[PlaceGroup] = None) -> int:
-        """Re-materialize lost copies after a recovery (the scrub pass).
-
-        With *new_group* (same size, spares installed at the dead members'
-        indices) the snapshot is first re-anchored, so lost primaries have
-        live homes again.  Each missing primary is refilled from the best
-        surviving tier (parity reconstruction or disk), then missing
-        parity blocks are rebuilt from the now-complete member set — both
-        fully charged through the engine.  Returns the number of copies
-        re-materialized; raises ``DeadPlaceException`` if a place dies
-        mid-scrub (the executor's retry loop folds that into the next
-        recovery round).
-        """
-        rt = self.runtime
-        if (
-            new_group is not None
-            and new_group.size == self.group.size
-            and new_group.ids != self.group.ids
-        ):
-            self.rebind_group(new_group)
+    def repair(self, snap, new_group: Optional[PlaceGroup]) -> int:
+        """The scrub pass: re-anchor to *new_group* (spares at the dead
+        members' indices), refill each missing primary from the ladder,
+        then rebuild missing blocks, all charged through the engine.
+        Returns the copies re-materialized; a place dying mid-scrub raises
+        ``DeadPlaceException`` (the executor retries the recovery)."""
+        rt = snap.runtime
         if new_group is not None:
+            if new_group.size == snap.group.size and new_group.ids != snap.group.ids:
+                snap.rebind_group(new_group)
             # Scrub mode: the caller installed a fully-live replacement
             # group, so any dead member now means a *new* failure — abort
             # (fail fast) instead of silently leaving holes behind.
-            for place in self.group:
+            for place in snap.group:
                 rt.check_alive(place.id)
         repaired = 0
-        refilled_groups: Set[int] = set()
-        for key in sorted(self._saved_keys):
-            home = self.group[key]
-            if not rt.is_alive(home.id):
-                continue
-            if rt.heap_of(home.id).contains(self._primary_key(key)):
+        refilled: Set[int] = set()
+        for key in sorted(snap._saved_keys):
+            home, primary_key = PRIMARY.home(snap, key)
+            if not rt.is_alive(home) or rt.heap_of(home).contains(primary_key):
                 continue
             try:
-                src_id, heap_key = self.locate(key)
+                src_id, heap_key = snap.locate(key)
             except DataLossError:
                 continue
-            if src_id == self.STABLE_TIER:
-                payload = self._stable[key]
-                rt.engine.stable_read(home.id, payload_nbytes(payload))
+            payload = snap._heap(src_id).get(heap_key)
+            if src_id == STABLE_TIER:
+                rt.engine.stable_read(home, payload_nbytes(payload))
             else:
-                payload = rt.heap_of(src_id).get(heap_key)
                 nbytes = payload_nbytes(payload)
-                if src_id != home.id:
-                    arrive = rt.engine.transfer(
-                        src_id, home.id, nbytes, rt.clock.now(src_id)
-                    )
-                    rt.clock.set_at_least(home.id, arrive)
-                    rt.stats.messages += 1
-                    rt.stats.bytes_sent += rt.cost.scaled_bytes(nbytes)
-                rt.clock.advance(home.id, rt.cost.memcpy(nbytes))
-            rt.heap_of(home.id).put(self._primary_key(key), payload)
-            self._verified.add((key, 0))
-            refilled_groups.add(self._parity_group(key))
+                _transfer(rt, src_id, home, nbytes)
+                rt.clock.advance(home, rt.cost.memcpy(nbytes))
+            rt.heap_of(home).put(primary_key, payload)
+            snap._verified.add((key, 0))
+            refilled.add(self.group_of(key))
             repaired += 1
-        for gidx in self._groups():
-            parity_place = self._parity_place(gidx)
-            if not rt.is_alive(parity_place.id):
+        for gidx in self.groups(snap):
+            if not rt.is_alive(self.place_id(snap, gidx)):
                 continue
-            if gidx in self._parity and rt.heap_of(parity_place.id).contains(
-                self._parity_key(gidx)
-            ):
-                if gidx not in refilled_groups or gidx in self._parity_raw:
+            stale = self.has_block(snap, gidx)
+            if stale:
+                if gidx not in refilled or snap._parity[gidx][1]:
                     continue
                 # A pickled-mode group with a refilled primary: the
                 # re-materialized payload may serialize differently than
@@ -698,58 +399,24 @@ class ParityObjectSnapshot(DistObjectSnapshot):
                 # Drop the stale block and rebuild it below (raw groups
                 # are value-determined and keep their block).  Not
                 # counted in ``repaired`` — the block was never lost.
-                block = rt.heap_of(parity_place.id).get(self._parity_key(gidx))
-                nb = payload_nbytes(block)
-                self.parity_nbytes -= nb
-                self.total_nbytes -= nb
-                rt.heap_of(parity_place.id).remove_if_present(
-                    self._parity_key(gidx)
-                )
-                self._parity.discard(gidx)
-                self._verified.discard(self._canonical(gidx))
-                members = self._saved_members(gidx)
-                if all(
-                    rt.is_alive(self.group[m].id)
-                    and rt.heap_of(self.group[m].id).contains(
-                        self._primary_key(m)
-                    )
-                    for m in members
-                ):
-                    self._build_parity(gidx, charge_keys=members)
-                continue
-            members = self._saved_members(gidx)
-            complete = all(
-                rt.is_alive(self.group[m].id)
-                and rt.heap_of(self.group[m].id).contains(self._primary_key(m))
-                for m in members
-            )
-            if not complete:
-                continue
-            self._parity.discard(gidx)
-            self._build_parity(gidx, charge_keys=members)
-            repaired += 1
+                self._drop_block(snap, gidx, stale=True)
+            members = self.saved_members(snap, gidx)
+            if self._primaries_present(snap, members):
+                snap._parity.pop(gidx, None)
+                self._build(snap, gidx, charge_keys=members)
+                repaired += 0 if stale else 1
         return repaired
 
     # -- lifecycle ----------------------------------------------------------
 
-    def delete(self) -> None:
-        rt = self.runtime
-        for gidx in self._groups():
-            parity_place = self._parity_place(gidx)
-            if rt.is_alive(parity_place.id):
-                heap = rt.heap_of(parity_place.id)
-                heap.remove_if_present(self._parity_key(gidx))
-                for m in self._group_members(gidx):
-                    heap.remove_if_present(self._recon_key(m))
-        self._parity.clear()
-        self._parity_raw.clear()
-        self._parity_codecs.clear()
-        super().delete()
-
-    def __repr__(self) -> str:
-        return (
-            f"ParityObjectSnapshot(id={self.snap_id}, "
-            f"keys={sorted(self._saved_keys)}, group={self.group.ids}, "
-            f"span={self._span}, parity_groups={sorted(self._parity)}, "
-            f"stable_fallback={self.stable_fallback})"
-        )
+    def delete(self, snap) -> None:
+        rt = snap.runtime
+        for gidx in self.groups(snap):
+            pid, block_key = self.block(snap, gidx)
+            if rt.is_alive(pid):
+                heap = rt.heap_of(pid)
+                heap.remove_if_present(block_key)
+                for m in self.members(snap, gidx):
+                    heap.remove_if_present(("snapr", snap.snap_id, m))
+        snap._parity.clear()
+        snap._parity_keys.clear()

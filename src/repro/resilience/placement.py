@@ -20,7 +20,7 @@ duplicates, matching the seed store's behaviour.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Type
+from typing import Dict, List, Type
 
 from repro.util.validation import require
 
@@ -127,17 +127,11 @@ class SpreadPlacement(ReplicaPlacement):
 class ParityPlacement(ReplicaPlacement):
     """Erasure-coded placement: one XOR parity block per group of ``g`` keys.
 
-    Not a replica policy at all — instead of k full copies per key, every
-    group of up to ``g`` consecutive partitions shares a single parity
-    block (the XOR of the members' serialized bytes) stored on a place
-    *outside* the group, chosen through :func:`resolve_offsets` so the
-    parity never co-resides with any member's primary.  Any single lost
-    member per group is reconstructible from the parity plus the
-    surviving peers at ~``(1 + 1/g)x`` checkpoint bytes instead of ``kx``.
-
-    A parity snapshot keeps no per-key replicas (``backups`` must be 0);
-    :meth:`raw_offsets` enforces that loudly so a plain replica store
-    handed this policy fails at construction, not at the first failure.
+    Not a replica policy: every group of up to ``g`` consecutive
+    partitions shares one block on a place *outside* the group (through
+    :func:`resolve_offsets`), so any single lost member is rebuilt from
+    the block and its peers at ~``(1 + 1/g)x`` checkpoint bytes instead of
+    ``kx``.  It has no replica offsets.
     """
 
     name = "parity"
@@ -147,11 +141,6 @@ class ParityPlacement(ReplicaPlacement):
         self.group = group
 
     def raw_offsets(self, backups: int, group_size: int) -> List[int]:
-        require(
-            backups == 0,
-            "parity placement stores group parity blocks, not per-key "
-            "replicas; use it with backups=0 (replicas=1)",
-        )
         return []
 
     def group_span(self, group_size: int) -> int:
@@ -159,7 +148,8 @@ class ParityPlacement(ReplicaPlacement):
         one group-external place exists to hold the parity block."""
         return max(1, min(self.group, group_size - 1))
 
-    def parity_index(self, start: int, members: int, group_size: int) -> int:
+    @staticmethod
+    def parity_index(start: int, members: int, group_size: int) -> int:
         """Group index of the place holding a group's parity block.
 
         *start* is the group's first member index and *members* the group's
@@ -177,16 +167,7 @@ class ParityPlacement(ReplicaPlacement):
 
 #: CLI / config registry of the built-in policies.
 PLACEMENTS: Dict[str, Type[ReplicaPlacement]] = {
-    RingPlacement.name: RingPlacement,
-    StridePlacement.name: StridePlacement,
-    SpreadPlacement.name: SpreadPlacement,
-    ParityPlacement.name: ParityPlacement,
-}
-
-#: Policies that take an integer ``name:<n>`` argument from the CLI.
-_ARG_POLICIES: Dict[str, Callable[[int], ReplicaPlacement]] = {
-    "stride": lambda n: StridePlacement(stride=n),
-    "parity": lambda n: ParityPlacement(group=n),
+    cls.name: cls for cls in (RingPlacement, StridePlacement, SpreadPlacement, ParityPlacement)
 }
 
 
@@ -197,8 +178,6 @@ def make_placement(spec: str) -> ReplicaPlacement:
     name, _, arg = spec.partition(":")
     cls = PLACEMENTS.get(name)
     require(cls is not None, f"unknown placement policy {spec!r} (choices: {sorted(PLACEMENTS)})")
-    if arg:
-        factory = _ARG_POLICIES.get(name)
-        require(factory is not None, f"policy {name!r} takes no argument")
-        return factory(int(arg))
-    return cls()
+    takes_arg = cls in (StridePlacement, ParityPlacement)
+    require(takes_arg or not arg, f"policy {name!r} takes no argument")
+    return cls(int(arg)) if arg else cls()

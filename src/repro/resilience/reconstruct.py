@@ -25,10 +25,10 @@ iteration behind, never a mix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.resilience.placement import ParityPlacement, ReplicaPlacement
-from repro.resilience.snapshot import DistObjectSnapshot, Snapshottable
+from repro.resilience.placement import ReplicaPlacement
+from repro.resilience.snapshot import DistObjectSnapshot, Snapshottable, make_redundancy
 from repro.runtime.place import PlaceGroup
 from repro.runtime.runtime import PlaceContext, Runtime
 from repro.util.validation import require
@@ -52,13 +52,7 @@ class ReconstructionStore:
         replicas: int = 1,
         placement: Optional[ReplicaPlacement] = None,
     ):
-        require(replicas >= 1, "reconstruction needs at least one replica")
-        require(
-            not isinstance(placement, ParityPlacement),
-            "parity placement stores per-group XOR blocks, which the "
-            "redundant-state store cannot incrementally refresh every "
-            "iteration; use a replica placement (ring/stride/spread)",
-        )
+        make_redundancy(replicas, placement, recovery="reconstruct")  # fail fast
         self.runtime = runtime
         self.replicas = replicas
         self.placement = placement
@@ -96,15 +90,10 @@ class ReconstructionStore:
         return bool(self._static)
 
     def repair_static(self, new_group: PlaceGroup) -> int:
-        """Re-anchor the statics to *new_group* and restore full redundancy.
-
-        After reconstruction the replaced places hold live payloads again,
-        but any snapshot copy that lived on a dead place is gone.  Each
-        damaged key is re-saved from its (new) primary place — re-running
-        the replica fan-out for exactly the lost copies, so repair cost
-        scales with the damage, not with the object.  Returns the number
-        of keys re-saved.
-        """
+        """Re-anchor the statics to *new_group* and restore full redundancy:
+        each key that lost a copy with a dead place is re-saved from its
+        (new) primary, so repair cost scales with the damage, not with the
+        object.  Returns the number of keys re-saved."""
         repaired = 0
         for obj, snap in self._static.items():
             snap.rebind_group(new_group)
@@ -116,9 +105,15 @@ class ReconstructionStore:
             key_of = {new_group[key].id: key for key in damaged}
 
             def resave(ctx: PlaceContext, snap=snap, heap_key=heap_key, key_of=key_of):
+                # A copy-on-write view, never the live payload: a later
+                # reset of this place (a retried reconstruction reusing
+                # the spare at another index) must not reach the copy.
                 payload = ctx.heap.get(heap_key)
                 snap.save_from(
-                    ctx, key_of[ctx.place.id], payload, token=version_token(payload)
+                    ctx,
+                    key_of[ctx.place.id],
+                    payload.freeze_view(),
+                    token=version_token(payload),
                 )
 
             self.runtime.finish_all(sub, resave, label="reconstruct:repair")
@@ -166,10 +161,9 @@ class ReconstructionStore:
     # -- shared -----------------------------------------------------------------
 
     def _configure(self, obj: Snapshottable, backups: int) -> None:
-        obj.snapshot_backups = backups
-        if self.placement is not None:
-            obj.snapshot_placement = self.placement
-        obj.snapshot_stable_fallback = False
+        obj.snapshot_redundancy = make_redundancy(
+            backups, self.placement, stable_fallback=False, base=obj.snapshot_redundancy
+        )
 
     def placement_ok(self) -> bool:
         """Invariant surface: no replica co-resident with its primary."""
@@ -183,15 +177,10 @@ class ReconstructionStore:
         return all(snap.fully_redundant() for snap in self._static.values())
 
     def invalidate(self) -> None:
-        """Drop every generation after a fallback rollback.
-
-        A checkpoint/restart fallback may shrink the group or roll the
-        state behind the published boundary, leaving the committed
-        generation (and the statics' group binding) stale.  Invalidation
-        empties the store so :attr:`ready` goes false until the app's next
-        ``publish_redundant`` rebuilds it — statics included — over the
-        post-restore group.
-        """
+        """Drop every generation after a fallback rollback, which may shrink
+        the group or roll back past the published boundary: :attr:`ready`
+        stays false until the app's next ``publish_redundant`` rebuilds
+        everything, statics included, over the post-restore group."""
         self.delete()
 
     def delete(self) -> None:
@@ -201,8 +190,3 @@ class ReconstructionStore:
         self._static.clear()
         self._state.clear()
         self.state_iteration = -1
-
-
-#: Objects a reconstructable app publishes each iteration, with per-object
-#: backup overrides — see :meth:`ReconstructionStore.publish`.
-PublishPlan = List[Tuple[Snapshottable, Optional[int]]]

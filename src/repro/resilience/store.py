@@ -19,8 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.resilience.placement import ParityPlacement, ReplicaPlacement
-from repro.resilience.snapshot import DistObjectSnapshot, Snapshottable
+from repro.resilience.placement import ReplicaPlacement
+from repro.resilience.snapshot import (
+    DistObjectSnapshot,
+    Redundancy,
+    Snapshottable,
+    make_redundancy,
+)
 from repro.runtime.runtime import Runtime
 from repro.util.validation import require
 
@@ -64,18 +69,14 @@ class AppResilientStore:
         delta: bool = False,
     ):
         self.runtime = runtime
-        if isinstance(placement, ParityPlacement) and (replicas or 0) > 1:
-            raise ValueError(
-                "placement=parity replaces per-key replicas with one XOR "
-                f"parity block per group; replicas must be <= 1, got "
-                f"{replicas} (shrink the parity group via parity:g to buy "
-                "more protection instead of double-paying)"
-            )
-        #: Store-level replication knobs; ``None`` leaves each object's own
-        #: snapshot configuration untouched, a value overrides all of them.
+        #: Store-level redundancy knobs; ``None`` leaves each object's own
+        #: configuration untouched, a value overrides all of them.
         self.replicas = replicas
         self.placement = placement
         self.stable_fallback = stable_fallback
+        make_redundancy(replicas, placement, stable_fallback)  # fail fast
+        #: Object redundancy -> the same with this store's knobs applied.
+        self._configured: Dict[Optional[Redundancy], Redundancy] = {}
         #: Incremental (dirty-partition-only) checkpointing: ``save`` hands
         #: each object its last committed snapshot as the delta base, so
         #: unchanged partitions are adopted by reference instead of copied.
@@ -91,16 +92,12 @@ class AppResilientStore:
         self.delta_dirty_bytes = 0.0
 
     def _configure(self, obj: Snapshottable) -> None:
-        """Push the store-level replication policy onto one object."""
-        if self.replicas is not None:
-            obj.snapshot_backups = self.replicas
-        if self.placement is not None:
-            obj.snapshot_placement = self.placement
-        if isinstance(getattr(obj, "snapshot_placement", None), ParityPlacement):
-            # Parity stores group blocks, not per-key backups.
-            obj.snapshot_backups = 0
-        if self.stable_fallback is not None:
-            obj.snapshot_stable_fallback = self.stable_fallback
+        """Push the store-level redundancy knobs onto one object."""
+        base = getattr(obj, "snapshot_redundancy", None)
+        if base not in self._configured:
+            knobs = (self.replicas, self.placement, self.stable_fallback)
+            self._configured[base] = make_redundancy(*knobs, base=base)
+        obj.snapshot_redundancy = self._configured[base]
 
     # -- checkpoint construction ------------------------------------------------
 
@@ -228,47 +225,29 @@ class AppResilientStore:
         first clean one per key) and returns
         ``{"clean": ..., "quarantined": ...}`` copy counts.
         """
-        latest = self.latest()
-        clean = quarantined = 0
-        if latest is not None:
-            for snap in list(latest.snapshots.values()) + list(
-                latest.read_only.values()
-            ):
-                c, q = snap.verify_all()
-                clean += c
-                quarantined += q
-        return {"clean": clean, "quarantined": quarantined}
+        counts = [snap.verify_all() for snap in self._latest_snapshots()]
+        return {"clean": sum(c for c, _ in counts), "quarantined": sum(q for _, q in counts)}
 
     def quarantined_copies(self) -> int:
         """Total snapshot copies quarantined across the store's lifetime."""
-        seen = set()
-        total = 0
-        for app_snap in self.snapshots:
-            for snap in app_snap.all_snapshots():
-                if id(snap) not in seen:
-                    seen.add(id(snap))
-                    total += len(snap.quarantined)
-        return total
+        unique = {id(s): s for app_snap in self.snapshots for s in app_snap.all_snapshots()}
+        return sum(len(snap.quarantined) for snap in unique.values())
 
     @property
     def in_progress(self) -> bool:
         """True while a checkpoint attempt is open."""
         return self._in_progress is not None
 
+    def _latest_snapshots(self) -> List[DistObjectSnapshot]:
+        latest = self.latest()
+        return latest.all_snapshots() if latest is not None else []
+
     def total_checkpoint_bytes(self) -> float:
         """Bytes held by the latest checkpoint (double-store counted once)."""
-        latest = self.latest()
-        if latest is None:
-            return 0.0
-        return sum(s.total_nbytes for s in latest.snapshots.values()) + sum(
-            s.total_nbytes for s in latest.read_only.values()
-        )
+        return sum((s.total_nbytes for s in self._latest_snapshots()), 0.0)
 
     def total_stored_bytes(self) -> float:
         """Physical bytes of the latest checkpoint across every tier —
         replicas and disk copies multiply, parity adds its ``~1/g``
         overhead once (the bytes-vs-recoverability frontier's x-axis)."""
-        latest = self.latest()
-        if latest is None:
-            return 0.0
-        return sum(s.stored_nbytes() for s in latest.all_snapshots())
+        return sum((s.stored_nbytes() for s in self._latest_snapshots()), 0.0)

@@ -33,6 +33,7 @@ from repro.resilience.executor import (
     RestoreMode,
 )
 from repro.resilience.placement import make_placement
+from repro.resilience.snapshot import make_redundancy
 from repro.resilience.store import AppResilientStore
 from repro.runtime.cost import CostModel
 from repro.runtime.detector import PhiAccrualDetector
@@ -141,16 +142,14 @@ class ServiceConfig:
             f"cg_recovery must be one of {RECOVERY_MODES}",
         )
         require(self.repair_mttr >= 0, "repair_mttr must be >= 0")
-        # Fail fast on a bad placement spec, and on parity double-paying.
-        from repro.resilience.placement import ParityPlacement
-
-        if isinstance(make_placement(self.placement), ParityPlacement):
-            require(
-                self.replicas <= 1,
-                "placement=parity replaces per-key replicas with one XOR "
-                "parity block per group; configure replicas=1 (or shrink "
-                "the group via parity:g)",
-            )
+        # Fail fast on a bad placement spec or a conflicting redundancy
+        # configuration (cg_recovery only applies to CG jobs).
+        make_redundancy(
+            self.replicas,
+            self.placement,
+            self.stable_fallback,
+            recovery=self.cg_recovery if "cg" in self.apps else "checkpoint",
+        )
         for app in self.apps:
             require(app in SERVICE_APPS, f"unknown app {app!r}")
 

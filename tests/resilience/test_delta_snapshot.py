@@ -8,7 +8,7 @@ from repro.matrix.distvector import DistVector
 from repro.matrix.dupvector import DupVector
 from repro.matrix.sparse import SparseCSR
 from repro.matrix.vector import Vector
-from repro.resilience.snapshot import DistObjectSnapshot
+from repro.resilience.snapshot import DistObjectSnapshot, make_redundancy
 from repro.resilience.store import AppResilientStore
 from repro.runtime import CostModel, PlaceGroup, Runtime
 from repro.util import checksum
@@ -215,7 +215,8 @@ class TestDeltaStore:
         # Partition 0's bytes are unchanged, but its backup replica died
         # with its place: redundancy is degraded, so reuse must be refused
         # (adopting would let the next failure destroy the last copy).
-        rt.kill(snap._backup_place(0, 1).id)
+        _, backup_place, _ = snap.copies(0)[1]
+        rt.kill(backup_place)
         assert not snap.can_reuse(0, token)
 
     def test_adoption_survives_base_deletion_on_commit(self):
@@ -235,19 +236,24 @@ class TestDeltaStore:
 
     def test_incompatible_base_degrades_to_full_save(self):
         rt = make_rt(resilient=True)
-        snap_a = DistObjectSnapshot(rt, rt.world, backups=1)
-        snap_b = DistObjectSnapshot(rt, rt.world, backups=2)
-        snap_c = DistObjectSnapshot(rt, PlaceGroup.of_ids([0, 1]), backups=1)
+        snap_a = DistObjectSnapshot(rt, rt.world, redundancy=make_redundancy(1))
+        snap_b = DistObjectSnapshot(rt, rt.world, redundancy=make_redundancy(2))
+        snap_c = DistObjectSnapshot(
+            rt, PlaceGroup.of_ids([0, 1]), redundancy=make_redundancy(1)
+        )
         assert not snap_b.delta_compatible(snap_a)
         assert not snap_c.delta_compatible(snap_a)
-        assert DistObjectSnapshot(rt, rt.world, backups=1).delta_compatible(snap_a)
+        twin = DistObjectSnapshot(rt, rt.world, redundancy=make_redundancy(1))
+        assert twin.delta_compatible(snap_a)
 
 
 class TestCorruptionIsolation:
     """A quarantined copy's CoW siblings in other tiers are unaffected."""
 
     def _snapshot(self, rt, stable=False):
-        snap = DistObjectSnapshot(rt, rt.world, backups=1, stable_fallback=stable)
+        snap = DistObjectSnapshot(
+            rt, rt.world, redundancy=make_redundancy(1, stable_fallback=stable)
+        )
         group = snap.group
 
         def task(ctx):
@@ -264,9 +270,8 @@ class TestCorruptionIsolation:
         # All tiers share one frozen payload object; corrupt_copy must
         # replace, not mutate, or every tier would rot at once.
         assert snap.corrupt_copy(1, 0)
-        backup = rt.heap_of(snap._backup_place(1, 1).id).get(snap._backup_key(1, 1))
-        assert backup.data.tolist() == [1.0, 1.5]
-        assert snap._stable[1].data.tolist() == [1.0, 1.5]
+        for _, place_id, heap_key in snap.copies(1)[1:]:  # replica and disk
+            assert snap._heap(place_id).get(heap_key).data.tolist() == [1.0, 1.5]
         # locate quarantines the primary and serves the intact backup.
         pid, key = snap.locate(1)
         assert key[0] == "snapb"
@@ -307,7 +312,7 @@ class TestSaveFromSinglePlace:
         def elapsed(backups):
             rt = make_rt(2, cost=CostModel.laptop(), resilient=True)
             g = PlaceGroup.of_ids([1])
-            snap = DistObjectSnapshot(rt, g, backups=backups)
+            snap = DistObjectSnapshot(rt, g, redundancy=make_redundancy(backups))
             t0 = rt.now()
             rt.finish_all(
                 g,

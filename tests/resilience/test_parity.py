@@ -12,10 +12,10 @@ import pytest
 from repro.matrix.distvector import DistVector
 from repro.matrix.dupvector import DupVector
 from repro.matrix.vector import Vector
-from repro.resilience.parity import PARITY_TIER, ParityObjectSnapshot
+from repro.resilience.parity import PARITY_TIER, Parity
 from repro.resilience.placement import ParityPlacement, SpreadPlacement
 from repro.resilience.reconstruct import ReconstructionStore
-from repro.resilience.snapshot import DistObjectSnapshot
+from repro.resilience.snapshot import DistObjectSnapshot, make_redundancy
 from repro.resilience.store import AppResilientStore
 from repro.runtime import CostModel, DataLossError, Runtime
 from repro.runtime.exceptions import SnapshotCorruptionError
@@ -36,14 +36,20 @@ def save_all(rt, snap, payload_fn):
 
 
 def parity_snap(rt, g=2, stable_fallback=False, payload_fn=None):
-    snap = ParityObjectSnapshot(
+    snap = DistObjectSnapshot(
         rt,
         rt.world,
-        placement=ParityPlacement(group=g),
-        stable_fallback=stable_fallback,
+        redundancy=make_redundancy(
+            placement=ParityPlacement(group=g), stable_fallback=stable_fallback
+        ),
     )
     save_all(rt, snap, payload_fn or (lambda i: Vector.of([float(i)] * 8)))
     return snap
+
+
+def parity_of(snap) -> Parity:
+    """The snapshot's parity tier."""
+    return next(t for t in snap.ladder if isinstance(t, Parity))
 
 
 class TestSaveGeometry:
@@ -52,16 +58,17 @@ class TestSaveGeometry:
         snap = parity_snap(rt, g=2)
         # 6 keys, span 2 -> groups {0,1}, {2,3}, {4,5}.
         for gidx in (0, 1, 2):
-            place = snap._parity_place(gidx)
-            assert rt.heap_of(place.id).contains(("snapp", snap.snap_id, gidx))
+            place = parity_of(snap).place_id(snap, gidx)
+            assert rt.heap_of(place).contains(("snapp", snap.snap_id, gidx))
 
     def test_parity_place_is_group_external(self):
         for g in (2, 4):
             rt = make_rt(6)
             snap = parity_snap(rt, g=g)
-            for gidx in snap._groups():
-                members = {snap.group[m].id for m in snap._group_members(gidx)}
-                assert snap._parity_place(gidx).id not in members
+            tier = parity_of(snap)
+            for gidx in tier.groups(snap):
+                members = {snap.group[m].id for m in tier.members(snap, gidx)}
+                assert tier.place_id(snap, gidx) not in members
         assert snap.placement_ok()
 
     def test_no_per_key_backups(self):
@@ -87,8 +94,8 @@ class TestSaveGeometry:
         rt = make_rt(6)
         snap = parity_snap(rt, g=2)
         assert snap.fully_redundant()
-        rt.heap_of(snap._parity_place(0).id).remove(("snapp", snap.snap_id, 0))
-        snap._parity.discard(0)
+        rt.heap_of(parity_of(snap).place_id(snap, 0)).remove(("snapp", snap.snap_id, 0))
+        snap._parity.pop(0)
         assert not snap.fully_redundant()
 
 
@@ -99,7 +106,7 @@ class TestRecoveryLadder:
         rt.kill(2)
         pid, heap_key = snap.locate(2)
         assert heap_key[0] == "snapr"
-        assert pid == snap._parity_place(1).id
+        assert pid == parity_of(snap).place_id(snap, 1)
         got = rt.heap_of(pid).get(heap_key)
         assert np.allclose(np.asarray(got.data), 20.0)
         assert snap.parity_reads == 1
@@ -125,7 +132,7 @@ class TestRecoveryLadder:
     def test_dead_parity_holder_plus_member_falls_to_disk(self):
         rt = make_rt(6)
         snap = parity_snap(rt, g=2, stable_fallback=True)
-        holder = snap._parity_place(1).id
+        holder = parity_of(snap).place_id(snap, 1)
         rt.kill(2)
         rt.kill(holder)
         pid, _ = snap.locate(2)
@@ -136,7 +143,8 @@ class TestRecoveryLadder:
         snap = parity_snap(rt, g=2)
         # Places 2 and 5 sit in different groups and hold no parity block
         # of the other's group.
-        holders = {snap._parity_place(g).id for g in snap._groups()}
+        tier = parity_of(snap)
+        holders = {tier.place_id(snap, g) for g in tier.groups(snap)}
         victims = [v for v in (2, 5) if v not in holders][:1] or [2]
         for v in victims:
             rt.kill(v)
@@ -154,7 +162,7 @@ class TestIntegrity:
     def test_corrupt_parity_block_is_quarantined(self):
         rt = make_rt(6)
         snap = parity_snap(rt, g=2, stable_fallback=True)
-        first_member = snap._group_members(1)[0]
+        first_member = parity_of(snap).members(snap, 1)[0]
         snap.corrupt_copy(first_member, PARITY_TIER)
         rt.kill(2)
         pid, _ = snap.locate(2)
@@ -165,7 +173,7 @@ class TestIntegrity:
     def test_corrupt_parity_without_disk_is_a_loud_loss(self):
         rt = make_rt(6)
         snap = parity_snap(rt, g=2)
-        snap.corrupt_copy(snap._group_members(1)[0], PARITY_TIER)
+        snap.corrupt_copy(parity_of(snap).members(snap, 1)[0], PARITY_TIER)
         rt.kill(2)
         with pytest.raises(SnapshotCorruptionError):
             snap.locate(2)
@@ -177,7 +185,7 @@ class TestIntegrity:
         assert quarantined == 0
         # 6 primaries + 3 parity blocks.
         assert clean == 9
-        snap.corrupt_copy(snap._group_members(0)[0], PARITY_TIER)
+        snap.corrupt_copy(parity_of(snap).members(snap, 0)[0], PARITY_TIER)
         clean, quarantined = snap.verify_all()
         assert quarantined == 1
 
@@ -204,9 +212,9 @@ class TestRepair:
     def test_repair_rebuilds_missing_parity_block(self):
         rt = make_rt(6)
         snap = parity_snap(rt, g=2)
-        holder = snap._parity_place(0).id
+        holder = parity_of(snap).place_id(snap, 0)
         rt.heap_of(holder).remove(("snapp", snap.snap_id, 0))
-        snap._parity.discard(0)
+        snap._parity.pop(0)
         assert snap.repair() == 1
         assert rt.heap_of(holder).contains(("snapp", snap.snap_id, 0))
         assert snap.fully_redundant()
@@ -226,18 +234,13 @@ class TestConfigurationGuards:
         store.save(v)
         store.commit(0)
         snap = store.latest().snapshots[v]
-        assert isinstance(snap, ParityObjectSnapshot)
+        assert any(isinstance(tier, Parity) for tier in snap.ladder)
         assert snap.backups == 0
 
     def test_reconstruction_store_rejects_parity(self):
         rt = make_rt(4)
         with pytest.raises(ValueError, match="replica placement"):
             ReconstructionStore(rt, replicas=1, placement=ParityPlacement())
-
-    def test_replica_placement_rejected_by_parity_snapshot(self):
-        rt = make_rt(4)
-        with pytest.raises(ValueError, match="ParityPlacement"):
-            ParityObjectSnapshot(rt, rt.world, placement=SpreadPlacement())
 
 
 class TestDeltaComposition:
@@ -278,7 +281,7 @@ class TestDeltaComposition:
         assert second is not first
         # The dirty group's block differs from the base; clean groups
         # adopted theirs by reference.
-        dirty_gidx = second._parity_group(3)
+        dirty_gidx = parity_of(second).group_of(3)
         assert second.fully_redundant()
         rt.kill(second.group[3].id)
         pid, heap_key = second.locate(3)

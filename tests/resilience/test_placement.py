@@ -88,10 +88,6 @@ class TestNormalization:
 
 
 class TestParity:
-    def test_rejects_per_key_replicas(self):
-        with pytest.raises(ValueError, match="backups=0"):
-            ParityPlacement().offsets(1, 8)
-
     def test_no_offsets_for_zero_backups(self):
         assert ParityPlacement().offsets(0, 8) == []
 

@@ -239,3 +239,33 @@ class TestExecutorReconstruct:
         app = CGResilient(rt, WL)
         with pytest.raises(ValueError):
             IterativeExecutor(rt, app, recovery="abft")
+
+    def test_retried_repair_reusing_a_spare_keeps_statics_intact(self):
+        # A kill inside the statics repair aborts the reconstruction; the
+        # retry installs the same spare at a different group index and
+        # resets it.  The repair must have saved a copy-on-write view, not
+        # the live payload, or that reset rewrites the statics snapshot
+        # under another key and the answer silently goes wrong.
+        wl = CGWorkload(rows_per_place=24, stride=7, iterations=10)
+        ref_app = CGNonResilient(Runtime(6, cost=CostModel.zero()), wl)
+        ref_app.run()
+        rt = make_rt(6, spares=6)
+        app = CGResilient(rt, wl)
+        rt.injector.kill_at_iteration(2, iteration=1)
+        rt.injector.kill_at_phase(1, phase=56)
+        report = IterativeExecutor(
+            rt,
+            app,
+            checkpoint_interval=3,
+            mode=RestoreMode.SHRINK,
+            spare_fallback=RestoreMode.SHRINK_REBALANCE,
+            checkpoint_mode="overlapped",
+            replicas=2,
+            placement=SpreadPlacement(),
+            recovery="reconstruct",
+        ).run()
+        assert report.aborted_reconstructions == 1
+        assert report.reconstructions == 1 and report.restores == 0
+        # The re-solve of the lost x rows rounds in its own order, so the
+        # answer matches to 1e-12, not bitwise.
+        np.testing.assert_allclose(app.solution(), ref_app.solution(), rtol=1e-12, atol=1e-14)

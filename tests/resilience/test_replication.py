@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.matrix.dupvector import DupVector
 from repro.matrix.vector import Vector
-from repro.resilience.snapshot import DistObjectSnapshot
+from repro.resilience.snapshot import DistObjectSnapshot, make_redundancy
 from repro.runtime import CostModel, DataLossError, Runtime
 
 
@@ -33,7 +33,7 @@ def save_all(rt, snap, payload_fn):
 class TestKBackups:
     def test_replica_placement(self):
         rt = make_rt(5)
-        snap = DistObjectSnapshot(rt, rt.world, backups=2)
+        snap = DistObjectSnapshot(rt, rt.world, redundancy=make_redundancy(2))
         save_all(rt, snap, lambda i: Vector.of([float(i)]))
         # Key 0: primary on 0, backups on 1 and 2.
         assert rt.heap_of(0).contains(("snap", snap.snap_id, 0))
@@ -42,7 +42,7 @@ class TestKBackups:
 
     def test_zero_backups_is_unprotected(self):
         rt = make_rt(4)
-        snap = DistObjectSnapshot(rt, rt.world, backups=0)
+        snap = DistObjectSnapshot(rt, rt.world, redundancy=make_redundancy(0))
         save_all(rt, snap, lambda i: Vector.of([float(i)]))
         rt.kill(2)
         with pytest.raises(DataLossError):
@@ -52,7 +52,7 @@ class TestKBackups:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_survives_k_consecutive_failures(self, k):
         rt = make_rt(6)
-        snap = DistObjectSnapshot(rt, rt.world, backups=k)
+        snap = DistObjectSnapshot(rt, rt.world, redundancy=make_redundancy(k))
         save_all(rt, snap, lambda i: Vector.of([float(i) * 3]))
         for victim in range(1, 1 + k):  # kill k consecutive places (not 0)
             rt.kill(victim)
@@ -63,7 +63,7 @@ class TestKBackups:
     @pytest.mark.parametrize("k", [1, 2])
     def test_k_plus_one_consecutive_failures_lose_data(self, k):
         rt = make_rt(6)
-        snap = DistObjectSnapshot(rt, rt.world, backups=k)
+        snap = DistObjectSnapshot(rt, rt.world, redundancy=make_redundancy(k))
         save_all(rt, snap, lambda i: Vector.of([1.0]))
         for victim in range(1, 2 + k):  # k+1 consecutive victims
             rt.kill(victim)
@@ -72,7 +72,7 @@ class TestKBackups:
 
     def test_delete_frees_all_replicas(self):
         rt = make_rt(5)
-        snap = DistObjectSnapshot(rt, rt.world, backups=2)
+        snap = DistObjectSnapshot(rt, rt.world, redundancy=make_redundancy(2))
         save_all(rt, snap, lambda i: Vector.of([1.0]))
         snap.delete()
         for pid in rt.world.ids:
@@ -82,13 +82,13 @@ class TestKBackups:
     def test_negative_backups_rejected(self):
         rt = make_rt(3)
         with pytest.raises(ValueError):
-            DistObjectSnapshot(rt, rt.world, backups=-1)
+            DistObjectSnapshot(rt, rt.world, redundancy=make_redundancy(-1))
 
     def test_save_cost_grows_with_replication(self):
         costs = {}
         for k in (1, 3):
             rt = make_rt(6, cost=CostModel(byte_time=1e-6, memcpy_byte_time=1e-7))
-            snap = DistObjectSnapshot(rt, rt.world, backups=k)
+            snap = DistObjectSnapshot(rt, rt.world, redundancy=make_redundancy(k))
             save_all(rt, snap, lambda i: Vector.of(np.zeros(1000)))
             costs[k] = rt.clock.global_time()
         assert costs[3] > costs[1]
@@ -101,7 +101,7 @@ class TestKBackups:
     )
     def test_locate_never_returns_dead_copies(self, places, k, victims):
         rt = make_rt(places)
-        snap = DistObjectSnapshot(rt, rt.world, backups=k)
+        snap = DistObjectSnapshot(rt, rt.world, redundancy=make_redundancy(k))
         save_all(rt, snap, lambda i: Vector.of([float(i)]))
         for victim in victims:
             if victim < places:
@@ -119,7 +119,7 @@ class TestObjectLevelReplication:
     def test_dup_vector_with_extra_backups(self):
         rt = make_rt(6)
         v = DupVector.make(rt, 8).init_random(3)
-        v.snapshot_backups = 2
+        v.snapshot_redundancy = make_redundancy(2)
         ref = v.to_array()
         snap = v.make_snapshot()
         assert snap.backups == 2

@@ -17,13 +17,14 @@ from repro.apps.resilient import LinRegResilient
 from repro.matrix.vector import Vector
 from repro.resilience.executor import IterativeExecutor
 from repro.resilience.placement import SpreadPlacement
-from repro.resilience.snapshot import DistObjectSnapshot
-from repro.resilience.stable import StableObjectSnapshot
+from repro.resilience.snapshot import DistObjectSnapshot, make_redundancy
 from repro.runtime import CostModel, DataLossError, Runtime
 from repro.runtime.exceptions import SnapshotCorruptionError
 from repro.runtime.failure import CorruptionModel
 
 STABLE = DistObjectSnapshot.STABLE_TIER
+WITH_DISK = make_redundancy(stable_fallback=True)
+DISK_ONLY = make_redundancy(disk_only=True)
 
 
 def make_rt(n=4, cost=None):
@@ -54,7 +55,7 @@ class TestQuarantineAndFallThrough:
 
     def test_corrupt_all_memory_tiers_falls_through_to_disk(self):
         rt = make_rt(3)
-        snap = DistObjectSnapshot(rt, rt.world, stable_fallback=True)
+        snap = DistObjectSnapshot(rt, rt.world, redundancy=WITH_DISK)
         save_all(rt, snap)
         assert snap.corrupt_copy(0, tier=0)
         assert snap.corrupt_copy(0, tier=1)
@@ -64,7 +65,7 @@ class TestQuarantineAndFallThrough:
 
     def test_all_tiers_corrupt_raises_loudly(self):
         rt = make_rt(3)
-        snap = DistObjectSnapshot(rt, rt.world, stable_fallback=True)
+        snap = DistObjectSnapshot(rt, rt.world, redundancy=WITH_DISK)
         save_all(rt, snap)
         for tier in (0, 1, STABLE):
             assert snap.corrupt_copy(2, tier)
@@ -106,7 +107,7 @@ class TestQuarantineAndFallThrough:
 class TestVerification:
     def test_verify_all_scrubs_every_tier(self):
         rt = make_rt(3)
-        snap = DistObjectSnapshot(rt, rt.world, stable_fallback=True)
+        snap = DistObjectSnapshot(rt, rt.world, redundancy=WITH_DISK)
         save_all(rt, snap)
         assert snap.corrupt_copy(0, tier=1)
         assert snap.corrupt_copy(2, tier=STABLE)
@@ -138,7 +139,7 @@ class TestVerification:
 class TestStableSnapshotIntegrity:
     def test_corrupt_stable_copy_has_no_further_tier(self):
         rt = make_rt(3)
-        snap = StableObjectSnapshot(rt, rt.world)
+        snap = DistObjectSnapshot(rt, rt.world, redundancy=DISK_ONLY)
         save_all(rt, snap)
         assert snap.tiers(1) == [STABLE]
         assert snap.corrupt_copy(1, STABLE)
@@ -148,7 +149,7 @@ class TestStableSnapshotIntegrity:
 
     def test_clean_copy_verifies_and_serves(self):
         rt = make_rt(3)
-        snap = StableObjectSnapshot(rt, rt.world)
+        snap = DistObjectSnapshot(rt, rt.world, redundancy=DISK_ONLY)
         save_all(rt, snap)
         pid, _ = snap.locate(0)
         assert pid == STABLE

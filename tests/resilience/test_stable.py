@@ -9,7 +9,7 @@ from repro.apps.resilient.pagerank import PageRankResilient
 from repro.matrix.dupvector import DupVector
 from repro.matrix.distblock import DistBlockMatrix
 from repro.resilience.executor import IterativeExecutor
-from repro.resilience.stable import StableObjectSnapshot, use_stable_storage
+from repro.resilience.snapshot import DISK, use_stable_storage
 from repro.runtime import CostModel, Runtime
 
 
@@ -24,7 +24,7 @@ class TestStableSnapshot:
         use_stable_storage(v)
         ref = v.to_array()
         snap = v.make_snapshot()
-        assert isinstance(snap, StableObjectSnapshot)
+        assert snap.ladder == (DISK,)
         v.fill(0.0)
         v.restore_snapshot(snap)
         assert np.allclose(v.to_array(), ref)
@@ -72,7 +72,8 @@ class TestStableSnapshot:
         for stable in (False, True):
             rt = make_rt(3, cost=cost)
             v = DupVector.make(rt, 128).init(1.0)
-            v.snapshot_to_stable_storage = stable
+            if stable:
+                use_stable_storage(v)
             t0 = rt.clock.global_time()
             v.make_snapshot()
             times[stable] = rt.clock.global_time() - t0

@@ -16,7 +16,7 @@ from repro.apps.resilient import LinRegResilient
 from repro.matrix.dupvector import DupVector
 from repro.resilience.executor import IterativeExecutor
 from repro.resilience.placement import RingPlacement, SpreadPlacement, make_placement
-from repro.resilience.snapshot import DistObjectSnapshot
+from repro.resilience.snapshot import DistObjectSnapshot, make_redundancy
 from repro.resilience.store import AppResilientStore
 from repro.runtime import CostModel, DataLossError, Runtime
 
@@ -92,9 +92,9 @@ class TestStoreKnobs:
         store.start_new_snapshot()
         store.save(v)
         store.commit(0)
-        assert v.snapshot_backups == 2
-        assert v.snapshot_placement.name == "spread"
-        assert v.snapshot_stable_fallback is True
+        assert v.snapshot_redundancy.backups == 2
+        assert v.snapshot_redundancy.placement.name == "spread"
+        assert v.snapshot_redundancy.stable_fallback is True
         snap = store.latest().snapshots[v]
         assert snap.placement_ok()
 
@@ -105,7 +105,7 @@ class TestStoreKnobs:
         store.start_new_snapshot()
         store.save(v)
         store.commit(0)
-        assert v.snapshot_backups == 1  # the class default, the paper's k
+        assert v.snapshot_redundancy.backups == 1  # the class default, the paper's k
 
     def test_executor_builds_configured_store(self):
         rt = Runtime(4, cost=CostModel.zero(), resilient=True)
@@ -123,8 +123,7 @@ class TestSnapshotTiers:
     def test_reads_fall_through_replicas_in_order(self):
         rt = Runtime(6, cost=CostModel.zero())
         v = DupVector.make(rt, 5).init(7.0)
-        v.snapshot_backups = 2
-        v.snapshot_placement = SpreadPlacement()
+        v.snapshot_redundancy = make_redundancy(2, SpreadPlacement())
         snap = v.make_snapshot()
         # Key 1: primary place 1, replicas at 1+2=3 and 1+4=5.
         assert snap.locate(1)[0] == 1
@@ -139,7 +138,7 @@ class TestSnapshotTiers:
     def test_stable_tier_serves_when_memory_gone(self):
         rt = Runtime(4, cost=CostModel.zero())
         v = DupVector.make(rt, 5).init(3.5)
-        v.snapshot_stable_fallback = True
+        v.snapshot_redundancy = make_redundancy(stable_fallback=True)
         snap = v.make_snapshot()
         rt.kill(1)
         rt.kill(2)  # key 1's primary and ring backup both gone
